@@ -5,10 +5,11 @@
 package kpj_test
 
 import (
-	"bytes"
+	"path/filepath"
 	"testing"
 
 	"kpj/internal/core"
+	"kpj/internal/flatindex"
 	"kpj/internal/graph"
 	"kpj/internal/landmark"
 )
@@ -141,7 +142,9 @@ func BenchmarkAblationBoundingDiscipline(b *testing.B) {
 }
 
 // BenchmarkAblationIndexPersistence compares building the landmark index
-// from scratch against loading it from its serialized form.
+// from scratch against loading graph and index from a flat file: the
+// verified read (checksum plus adjacency scan) and the mmap open (header
+// and head-array checks only, pages load on demand).
 func BenchmarkAblationIndexPersistence(b *testing.B) {
 	e := env()
 	g, err := e.Graph("CAL")
@@ -152,11 +155,10 @@ func BenchmarkAblationIndexPersistence(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	path := filepath.Join(b.TempDir(), "CAL.kpjflat")
+	if err := flatindex.WriteFile(path, g, ix); err != nil {
 		b.Fatal(err)
 	}
-	data := buf.Bytes()
 	b.Run("build", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := landmark.Build(g, 8, 1); err != nil {
@@ -164,11 +166,22 @@ func BenchmarkAblationIndexPersistence(b *testing.B) {
 			}
 		}
 	})
-	b.Run("load", func(b *testing.B) {
+	b.Run("load/read", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := landmark.Read(bytes.NewReader(data), g); err != nil {
+			l, err := flatindex.ReadFile(path)
+			if err != nil {
 				b.Fatal(err)
 			}
+			l.Close()
+		}
+	})
+	b.Run("load/mmap", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			l, err := flatindex.Open(path, true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			l.Close()
 		}
 	})
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"kpj"
@@ -279,12 +281,22 @@ func TestFaultPointsLoadPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	if _, err := kpj.WriteFlat(&buf, c.g, ix); err != nil {
 		t.Fatal(err)
 	}
-	chaosInstall(t, fault.New().Add(fault.Rule{Point: fault.IndexLoad}))
+	path := filepath.Join(t.TempDir(), "case.kpjflat")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Three loads below, one hit each: LoadIndex, then OpenFlat read and mmap.
+	chaosInstall(t, fault.New().Add(fault.Rule{Point: fault.IndexLoad, Count: 3}))
 	if _, err := kpj.LoadIndex(bytes.NewReader(buf.Bytes()), c.g); !errors.Is(err, kpj.ErrInjectedFault) {
-		t.Fatalf("index.load: err = %v, want ErrInjectedFault", err)
+		t.Fatalf("index.load (LoadIndex): err = %v, want ErrInjectedFault", err)
+	}
+	for _, mmap := range []bool{false, true} {
+		if _, _, _, err := kpj.OpenFlat(path, mmap); !errors.Is(err, kpj.ErrInjectedFault) {
+			t.Fatalf("index.load (OpenFlat mmap=%v): err = %v, want ErrInjectedFault", mmap, err)
+		}
 	}
 	fault.Install(nil)
 	if _, err := kpj.LoadIndex(bytes.NewReader(buf.Bytes()), c.g); err != nil {

@@ -1,10 +1,15 @@
 // Command kpjquery runs ad-hoc KPJ / KSP / GKPJ queries against a graph on
-// disk (DIMACS ".gr" plus a POI category file, e.g. from kpjgen).
+// disk: DIMACS ".gr" plus a POI category file (e.g. from kpjgen), or a
+// flat file from kpjindex carrying graph, categories and index.
 //
 // Usage:
 //
 //	kpjquery -graph sj.gr -pois sj.pois -source 42 -category T2 -k 5
 //	kpjquery -graph sj.gr -pois sj.pois -source-category T1 -category T2 -k 5 -alg DA-SPT
+//	kpjquery -flat sj.kpjflat -source 42 -category T2 -k 5
+//
+// -flat replaces -graph/-pois; the index it carries replaces -landmarks
+// (a flat file without an index falls back to building -landmarks).
 package main
 
 import (
@@ -27,15 +32,15 @@ var algorithms = map[string]kpj.Algorithm{
 }
 
 func main() {
-	graphPath := flag.String("graph", "", "DIMACS .gr file (required)")
+	graphPath := flag.String("graph", "", "DIMACS .gr file (required unless -flat is given)")
+	flatPath := flag.String("flat", "", "flat graph+index file from kpjindex (replaces -graph/-pois)")
 	poisPath := flag.String("pois", "", "POI category file")
 	source := flag.Int("source", -1, "source node id (KPJ/KSP)")
 	sourceCat := flag.String("source-category", "", "source category (GKPJ)")
 	category := flag.String("category", "", "destination category (required)")
 	k := flag.Int("k", 10, "number of paths")
 	alg := flag.String("alg", "IterBoundI", "algorithm: "+strings.Join(algoNames(), ", "))
-	landmarks := flag.Int("landmarks", 16, "landmark count (0 disables the index)")
-	indexPath := flag.String("index", "", "prebuilt index file from kpjindex (overrides -landmarks)")
+	landmarks := flag.Int("landmarks", 16, "landmark count (0 disables the index; ignored when -flat carries one)")
 	alpha := flag.Float64("alpha", 1.1, "tau growth factor")
 	seed := flag.Int64("seed", 1, "landmark selection seed")
 	trace := flag.Bool("trace", false, "print an EXPLAIN-style engine trace to stderr")
@@ -43,7 +48,7 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print engine metrics in Prometheus text format to stderr")
 	flag.Parse()
 
-	if err := run(*graphPath, *poisPath, *source, *sourceCat, *category, *k, *alg, *landmarks, *indexPath, *alpha, *seed, *trace, *spans, *metrics); err != nil {
+	if err := run(*graphPath, *flatPath, *poisPath, *source, *sourceCat, *category, *k, *alg, *landmarks, *alpha, *seed, *trace, *spans, *metrics); err != nil {
 		fmt.Fprintf(os.Stderr, "kpjquery: %v\n", err)
 		os.Exit(1)
 	}
@@ -57,33 +62,21 @@ func algoNames() []string {
 	return names
 }
 
-func run(graphPath, poisPath string, source int, sourceCat, category string, k int, alg string, landmarks int, indexPath string, alpha float64, seed int64, trace, spans, metrics bool) error {
-	if graphPath == "" || category == "" {
-		return fmt.Errorf("-graph and -category are required")
+func run(graphPath, flatPath, poisPath string, source int, sourceCat, category string, k int, alg string, landmarks int, alpha float64, seed int64, trace, spans, metrics bool) error {
+	if (graphPath == "") == (flatPath == "") || category == "" {
+		return fmt.Errorf("-category and exactly one of -graph or -flat are required")
+	}
+	if flatPath != "" && poisPath != "" {
+		return fmt.Errorf("-flat replaces -graph/-pois; do not combine them")
 	}
 	algo, ok := algorithms[alg]
 	if !ok {
 		return fmt.Errorf("unknown algorithm %q (want one of %s)", alg, strings.Join(algoNames(), ", "))
 	}
 
-	gf, err := os.Open(graphPath)
+	g, ix, err := loadGraph(graphPath, flatPath, poisPath)
 	if err != nil {
 		return err
-	}
-	defer gf.Close()
-	g, err := kpj.ReadGraph(gf)
-	if err != nil {
-		return err
-	}
-	if poisPath != "" {
-		pf, err := os.Open(poisPath)
-		if err != nil {
-			return err
-		}
-		defer pf.Close()
-		if err := g.ReadCategories(pf); err != nil {
-			return err
-		}
 	}
 	fmt.Printf("graph: %d nodes, %d edges, categories %v\n", g.NumNodes(), g.NumEdges(), g.Categories())
 
@@ -101,19 +94,9 @@ func run(graphPath, poisPath string, source int, sourceCat, category string, k i
 		defer kpj.EnableMetrics(nil)
 	}
 	switch {
-	case indexPath != "":
-		f, err := os.Open(indexPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		start := time.Now()
-		ix, err := kpj.LoadIndex(f, g)
-		if err != nil {
-			return err
-		}
+	case ix != nil:
 		opt.Index = ix
-		fmt.Printf("index: %d landmarks loaded from %s in %v\n", ix.Count(), indexPath, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("index: %d landmarks loaded from %s\n", ix.Count(), flatPath)
 	case landmarks > 0:
 		start := time.Now()
 		ix, err := kpj.BuildIndex(g, landmarks, seed)
@@ -157,4 +140,37 @@ func run(graphPath, poisPath string, source int, sourceCat, category string, k i
 		}
 	}
 	return nil
+}
+
+// loadGraph reads the graph (and, from a flat file, its index when it
+// carries one) from either -flat or -graph/-pois.
+func loadGraph(graphPath, flatPath, poisPath string) (*kpj.Graph, *kpj.Index, error) {
+	if flatPath != "" {
+		f, err := os.Open(flatPath)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer f.Close()
+		return kpj.ReadFlat(f)
+	}
+	gf, err := os.Open(graphPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer gf.Close()
+	g, err := kpj.ReadGraph(gf)
+	if err != nil {
+		return nil, nil, err
+	}
+	if poisPath != "" {
+		pf, err := os.Open(poisPath)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer pf.Close()
+		if err := g.ReadCategories(pf); err != nil {
+			return nil, nil, err
+		}
+	}
+	return g, nil, nil
 }

@@ -46,7 +46,7 @@ func TestHelperCrashServer(t *testing.T) {
 	if os.Getenv("KPJ_CRASH_HELPER") != "1" {
 		t.Skip("crash-harness helper; spawned by TestCrashRecoveryKill9")
 	}
-	err := run(os.Getenv("KPJ_CRASH_GRAPH"), "", false, os.Getenv("KPJ_CRASH_POIS"), "",
+	err := run(os.Getenv("KPJ_CRASH_GRAPH"), "", false, os.Getenv("KPJ_CRASH_POIS"),
 		crashLandmarks, crashSeed, os.Getenv("KPJ_CRASH_ADDR"), 1000,
 		0, 0, 0, 2 /* parallelism: oracle runs at 1 */, 0, time.Second,
 		false, false, 0, 2, os.Getenv("KPJ_CRASH_WAL"), 3 /* checkpoint-every */, 16<<20)

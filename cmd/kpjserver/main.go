@@ -3,14 +3,15 @@
 //
 // Usage:
 //
-//	kpjserver -graph sj.gr -pois sj.pois -index sj.idx -addr :8080 \
+//	kpjserver -flat sj.kpjflat -mmap -addr :8080 \
 //	          -timeout 2s -budget 5000000 -maxinflight 64
-//	kpjserver -flat sj.kpjflat -mmap -addr :8080
+//	kpjserver -graph sj.gr -pois sj.pois -landmarks 16 -addr :8080
 //
-// -flat loads a graph+categories+index bundle written by
-// kpjindex -format=flat; with -mmap the file is mapped instead of read,
-// so startup is O(1) and pages fault in on demand (Linux; elsewhere -mmap
-// silently falls back to a verified read).
+// -flat loads a graph+categories+index file written by kpjindex; with
+// -mmap the file is mapped instead of read, so startup is O(1) and pages
+// fault in on demand (Linux; elsewhere -mmap silently falls back to a
+// verified read). -graph/-pois read DIMACS and POI files instead, and
+// -landmarks builds an index at startup.
 //
 // Endpoints (see internal/server):
 //
@@ -23,9 +24,13 @@
 // Queries that exceed -timeout or -budget return the paths found so far
 // with "truncated": true; requests beyond -maxinflight are shed with 503.
 // SIGINT/SIGTERM flip /readyz to 503, shed late arrivals, and drain
-// in-flight requests for up to -draintimeout before exiting. With -index,
-// SIGHUP re-reads the index file and atomically swaps it in (a failed
-// reload logs the error and keeps serving the old index). -breaker N
+// in-flight requests for up to -draintimeout before exiting. With -flat,
+// SIGHUP re-reads the landmark index from the -flat file and atomically
+// swaps it in, keeping the live graph and its categories. The file's
+// graph must be the serving generation exactly (an index built before a
+// POST /update is rejected); a failed reload logs the error and keeps
+// serving the old index. Rewrite the file with kpjindex, which replaces
+// it by rename, so an -mmap server keeps its mapping. -breaker N
 // arms a per-algorithm circuit breaker: N consecutive internal failures
 // switch that algorithm to a degraded serial profile instead of a run of
 // 500s; -breakerprobes clean degraded queries switch it back.
@@ -65,11 +70,10 @@ import (
 
 func main() {
 	graphPath := flag.String("graph", "", "DIMACS .gr file (required unless -flat is given)")
-	flatPath := flag.String("flat", "", "flat graph+index file from kpjindex -format=flat (replaces -graph/-pois/-index)")
+	flatPath := flag.String("flat", "", "flat graph+index file from kpjindex (replaces -graph/-pois); SIGHUP reloads its index")
 	useMmap := flag.Bool("mmap", false, "with -flat, mmap the file instead of reading it: O(1) startup, pages load on demand")
 	poisPath := flag.String("pois", "", "POI category file")
-	indexPath := flag.String("index", "", "prebuilt index file from kpjindex")
-	landmarks := flag.Int("landmarks", 0, "build an index with this many landmarks when no -index is given")
+	landmarks := flag.Int("landmarks", 0, "build an index with this many landmarks when -flat carries none")
 	seed := flag.Int64("seed", 1, "landmark selection seed")
 	addr := flag.String("addr", ":8080", "listen address")
 	maxK := flag.Int("maxk", 1000, "per-request k limit")
@@ -79,7 +83,6 @@ func main() {
 	parallelism := flag.Int("parallelism", 1, "worker goroutines per query's subspace searches (<= 1 sequential; identical results)")
 	cacheSize := flag.Int("cachesize", 0, "cross-request bound-table cache entries (0 = default 128, negative disables)")
 	drain := flag.Duration("draintimeout", 10*time.Second, "bound on the graceful-shutdown drain window: in-flight queries get this long to finish after SIGINT/SIGTERM while late arrivals are shed with 503")
-	flag.DurationVar(drain, "drain", 10*time.Second, "deprecated alias for -draintimeout")
 	metrics := flag.Bool("metrics", false, "expose GET /metrics (Prometheus) and /debug/vars, and collect engine counters")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under GET /debug/pprof/")
 	breaker := flag.Int("breaker", 0, "consecutive internal failures per algorithm before degrading it to serial cache-bypassed execution (0 = disabled)")
@@ -89,7 +92,7 @@ func main() {
 	maxUpdateBytes := flag.Int64("maxupdatebytes", 16<<20, "POST /update body cap in bytes; oversized deltas get 413")
 	flag.Parse()
 
-	if err := run(*graphPath, *flatPath, *useMmap, *poisPath, *indexPath, *landmarks, *seed, *addr, *maxK,
+	if err := run(*graphPath, *flatPath, *useMmap, *poisPath, *landmarks, *seed, *addr, *maxK,
 		*timeout, *budget, *maxInFlight, *parallelism, *cacheSize, *drain, *metrics, *pprofOn,
 		*breaker, *breakerProbes, *walDir, *checkpointEvery, *maxUpdateBytes); err != nil {
 		fmt.Fprintf(os.Stderr, "kpjserver: %v\n", err)
@@ -97,7 +100,7 @@ func main() {
 	}
 }
 
-func run(graphPath, flatPath string, useMmap bool, poisPath, indexPath string, landmarks int, seed int64, addr string, maxK int,
+func run(graphPath, flatPath string, useMmap bool, poisPath string, landmarks int, seed int64, addr string, maxK int,
 	timeout time.Duration, budget int64, maxInFlight, parallelism, cacheSize int, drain time.Duration,
 	metrics, pprofOn bool, breakerThreshold, breakerProbes int,
 	walDir string, checkpointEvery int, maxUpdateBytes int64) error {
@@ -105,8 +108,8 @@ func run(graphPath, flatPath string, useMmap bool, poisPath, indexPath string, l
 	var ix *kpj.Index
 	switch {
 	case flatPath != "":
-		if graphPath != "" || poisPath != "" || indexPath != "" {
-			return fmt.Errorf("-flat replaces -graph/-pois/-index; do not combine them")
+		if graphPath != "" || poisPath != "" {
+			return fmt.Errorf("-flat replaces -graph/-pois; do not combine them")
 		}
 		start := time.Now()
 		fg, fix, closer, err := kpj.OpenFlat(flatPath, useMmap)
@@ -151,21 +154,7 @@ func run(graphPath, flatPath string, useMmap bool, poisPath, indexPath string, l
 		return fmt.Errorf("-mmap requires -flat")
 	}
 
-	switch {
-	case ix != nil:
-		// Came embedded in the flat file.
-	case indexPath != "":
-		f, err := os.Open(indexPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		var err2 error
-		if ix, err2 = kpj.LoadIndex(f, g); err2 != nil {
-			return err2
-		}
-		fmt.Printf("loaded %d-landmark index from %s\n", ix.Count(), indexPath)
-	case landmarks > 0:
+	if ix == nil && landmarks > 0 {
 		start := time.Now()
 		var err error
 		if ix, err = kpj.BuildIndex(g, landmarks, seed); err != nil {
@@ -231,12 +220,13 @@ func run(graphPath, flatPath string, useMmap bool, poisPath, indexPath string, l
 	fmt.Printf("serving %d nodes / %d edges (categories %v) on %s\n",
 		g.NumNodes(), g.NumEdges(), g.Categories(), addr)
 
-	// Index hot-reload: SIGHUP re-reads -index and swaps it in atomically;
-	// a reload that fails for any reason keeps the old index serving.
-	if indexPath != "" {
+	// Index hot-reload: SIGHUP re-reads the index in -flat and swaps it in
+	// atomically; a reload that fails for any reason keeps the old index
+	// serving.
+	if flatPath != "" {
 		hup := make(chan os.Signal, 1)
 		signal.Notify(hup, syscall.SIGHUP)
-		go watchReload(app, indexPath, hup, func(format string, args ...any) {
+		go watchReload(app, flatPath, hup, func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		})
 	}

@@ -41,6 +41,11 @@ var (
 	ErrInjectedFault = fault.ErrInjected
 )
 
+// ErrIndexMismatch: LoadIndex was given an index built over a different
+// graph generation than the one it is binding to — other adjacency or
+// other edge weights.
+var ErrIndexMismatch = errors.New("kpj: index was built for a different graph")
+
 // Validation sentinels, re-exported so serving layers can map them to
 // client errors (HTTP 400) with errors.Is instead of string matching.
 var (

@@ -38,7 +38,8 @@ type Point string
 const (
 	// GraphRead fires in graph.ReadGr before parsing a DIMACS file.
 	GraphRead Point = "graph.read"
-	// IndexLoad fires in landmark.Read before deserializing an index.
+	// IndexLoad fires in flatindex.Read and flatindex.Open before
+	// decoding a flat file (graph, categories and landmark index).
 	IndexLoad Point = "index.load"
 	// IndexBuild fires in landmark.BuildParallel and
 	// BuildWithLandmarksParallel before landmark selection / the table

@@ -39,6 +39,7 @@ import (
 	"sort"
 	"unsafe"
 
+	"kpj/internal/fault"
 	"kpj/internal/graph"
 	"kpj/internal/landmark"
 )
@@ -224,17 +225,32 @@ func Write(w io.Writer, g *graph.Graph, ix *landmark.Index) (int64, error) {
 	return int64(cw.off), cw.err
 }
 
-// WriteFile serializes to path via Write.
+// WriteFile serializes to path via Write. It writes path+".tmp", fsyncs
+// it and renames it over path, so readers never see a partial file and a
+// process that has the previous path mapped (Open with mmap) keeps its
+// pages: truncating a mapped file in place would fault the next access
+// to the mapping.
 func WriteFile(path string, g *graph.Graph, ix *landmark.Index) error {
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := Write(f, g, ix); err != nil {
-		f.Close()
+	_, err = Write(f, g, ix)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // best effort; the write error is the one to report
 		return err
 	}
-	return f.Close()
+	return nil
 }
 
 // encodeCategories flattens the category map: u32 count, then per
@@ -365,7 +381,12 @@ func sliceOf[T any](data []byte, off, count uint64) ([]T, error) {
 	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), count), nil
 }
 
+// decode is the one entry point of both loaders, so the fault.IndexLoad
+// point fires once per Read or Open.
 func decode(data []byte, verify, mapped bool, unmap func() error) (*Loaded, error) {
+	if err := fault.Hit(fault.IndexLoad); err != nil {
+		return nil, fmt.Errorf("flatindex: load: %w", err)
+	}
 	h, err := decodeHeader(data)
 	if err != nil {
 		return nil, err

@@ -8,8 +8,8 @@ import (
 
 // This file exposes the distance tables for flat (mmap-able)
 // serialization and reassembles an Index from prebuilt tables without
-// rerunning the construction Dijkstras. internal/flatindex is the only
-// intended consumer.
+// rerunning the construction Dijkstras: internal/flatindex decodes tables
+// with it, and kpj.LoadIndex rebinds decoded tables to a serving graph.
 
 // ErrBadTables reports structurally invalid tables handed to FromTables.
 var ErrBadTables = fmt.Errorf("landmark: malformed distance tables")

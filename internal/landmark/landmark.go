@@ -238,6 +238,13 @@ func newIndex(g *graph.Graph, ids []graph.NodeID, fwd, bwd [][]int32) *Index {
 	return ix
 }
 
+// fingerprint summarizes the graph an index belongs to: node and edge
+// counts and total edge weight.
+func fingerprint(g *graph.Graph) (n, m, wsum uint64) {
+	s := graph.Summarize(g)
+	return uint64(s.Nodes), uint64(s.Edges), uint64(s.SumW)
+}
+
 // contentFingerprint hashes everything the distance tables are a pure
 // function of: the graph fingerprint (node/edge counts, total weight) and
 // the landmark id sequence. FNV-1a over those words.
@@ -264,9 +271,9 @@ func contentFingerprint(g *graph.Graph, ids []graph.NodeID) uint64 {
 // Fingerprint identifies the index contents for cross-query caching: two
 // indexes with the same fingerprint were built from a graph with the same
 // shape summary and the same landmark sequence, so their derived set-bound
-// tables are interchangeable. It is as collision-tolerant as the on-disk
-// graph fingerprint (see io.go): distinct graphs with identical node/edge
-// counts and total weight are not distinguished.
+// tables are interchangeable. It summarizes the graph by shape only (see
+// fingerprint): distinct graphs with identical node/edge counts and total
+// weight are not distinguished.
 func (ix *Index) Fingerprint() uint64 { return ix.fp }
 
 func compress(dist []graph.Weight) []int32 {

@@ -2,9 +2,11 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -146,22 +148,8 @@ func TestReloadIndexFaulted(t *testing.T) {
 		t.Fatal("testServer should serve an index")
 	}
 
-	// Write a loadable index file for the reload to target.
-	ix, err := kpj.BuildIndex(g, 3, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "landmarks.kpx")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.WriteTo(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// Write a loadable flat file for the reload to target.
+	path := writeFlatIndex(t, g, 99)
 
 	installFaults(t, fault.New().Add(fault.Rule{Point: fault.IndexLoad, Nth: 1, Count: 1}))
 	if err := s.ReloadIndex(path); err == nil {
@@ -187,25 +175,91 @@ func TestReloadIndexFaulted(t *testing.T) {
 	}
 }
 
-// TestReloadIndexBadFile: reloads from a missing or corrupt file keep the
-// old index without needing fault injection.
+// writeFlatIndex writes g with a fresh seed-selected index to a flat
+// file, the input ReloadIndex takes, and returns its path.
+func writeFlatIndex(t *testing.T, g *kpj.Graph, seed int64) string {
+	t.Helper()
+	ix, err := kpj.BuildIndex(g, 3, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "landmarks.kpjflat")
+	if err := kpj.WriteFlatFile(path, g, ix); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestReloadIndexBadFile: reloads from a missing, corrupt or index-less
+// file keep the old index without needing fault injection.
 func TestReloadIndexBadFile(t *testing.T) {
 	s, _ := testServer(t)
 	old := s.index()
-	if err := s.ReloadIndex(filepath.Join(t.TempDir(), "nope.kpx")); err == nil {
+	if err := s.ReloadIndex(filepath.Join(t.TempDir(), "nope.kpjflat")); err == nil {
 		t.Fatal("reload from a missing file should fail")
 	}
-	garbage := filepath.Join(t.TempDir(), "garbage.kpx")
+	garbage := filepath.Join(t.TempDir(), "garbage.kpjflat")
 	if err := os.WriteFile(garbage, []byte("not an index"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.ReloadIndex(garbage); err == nil {
 		t.Fatal("reload from a corrupt file should fail")
 	}
+	// A well-formed flat file of the serving graph that carries no index.
+	bare := filepath.Join(t.TempDir(), "bare.kpjflat")
+	if err := kpj.WriteFlatFile(bare, s.snapshot().g, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReloadIndex(bare); err == nil {
+		t.Fatal("reload from a file without an index should fail")
+	}
 	if s.index() != old {
 		t.Fatal("failed reloads must keep the old index")
 	}
 	if rec, _ := get(t, s, "/query?source=0&category=hotel&k=2"); rec.Code != http.StatusOK {
 		t.Fatalf("query after failed reloads: status %d", rec.Code)
+	}
+}
+
+// TestReloadIndexGeneration binds reloads to the serving graph
+// generation. A file written before a POI-only update still matches the
+// adjacency, so it reloads and the live categories keep serving. After
+// an update that moves weight from one edge to another — node count,
+// edge count and total weight all unchanged — the same file is rejected
+// with kpj.ErrIndexMismatch, and the epoch and every engine's answers
+// stay as they were.
+func TestReloadIndexGeneration(t *testing.T) {
+	s, g := testServer(t)
+	path := writeFlatIndex(t, g, 99)
+
+	if rec, body := postUpdate(t, s, `{"addPOIs":[{"node":7,"category":"hotel"}]}`); rec.Code != http.StatusOK {
+		t.Fatalf("POI update: %d %s", rec.Code, body)
+	}
+	if err := s.ReloadIndex(path); err != nil {
+		t.Fatalf("reload over an unchanged adjacency: %v", err)
+	}
+	if e := s.Epoch(); e != 2 {
+		t.Fatalf("epoch after update and reload = %d, want 2", e)
+	}
+	if !s.snapshot().g.InCategory("hotel", 7) {
+		t.Fatal("reload dropped the live POI added by the update")
+	}
+
+	const move = `{"setWeights":[{"u":0,"v":1,"w":4},{"u":1,"v":2,"w":16}]}`
+	if rec, body := postUpdate(t, s, move); rec.Code != http.StatusOK {
+		t.Fatalf("weight move: %d %s", rec.Code, body)
+	}
+	epoch := s.Epoch()
+	const query = "/query?source=0&category=hotel&k=5"
+	before := engineAnswers(t, s, query)
+	err := s.ReloadIndex(path)
+	if !errors.Is(err, kpj.ErrIndexMismatch) {
+		t.Fatalf("reload of a pre-update file: err = %v, want kpj.ErrIndexMismatch", err)
+	}
+	if e := s.Epoch(); e != epoch {
+		t.Fatalf("rejected reload moved the epoch %d -> %d", epoch, e)
+	}
+	if after := engineAnswers(t, s, query); !reflect.DeepEqual(before, after) {
+		t.Fatalf("rejected reload changed answers:\nbefore %v\nafter  %v", before, after)
 	}
 }

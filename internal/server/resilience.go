@@ -140,9 +140,12 @@ func (s *Server) swapIndexLocked(ix *kpj.Index) error {
 	return nil
 }
 
-// ReloadIndex loads a landmark index from path, validates it against the
-// serving graph (fingerprint and checksum, via kpj.LoadIndex), and swaps
-// it in. On any error — unreadable file, corrupt or mismatched index,
+// ReloadIndex loads the landmark index of the flat file at path, binds it
+// to the serving graph via kpj.LoadIndex (checksum, adjacency validation,
+// and exact adjacency and weight equality with the serving generation),
+// and swaps it in, keeping the live graph and its categories. On any
+// error — unreadable file, corrupt file, a file without an index, an
+// index built for another graph generation (kpj.ErrIndexMismatch),
 // injected load fault — the currently serving epoch stays in place; a
 // reload can never leave the server worse than before it.
 func (s *Server) ReloadIndex(path string) error {

@@ -2,6 +2,7 @@ package kpj_test
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -100,10 +101,11 @@ func TestIndexSaveLoadPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	if _, err := kpj.WriteFlat(&buf, g, ix); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := kpj.LoadIndex(&buf, g)
+	data := buf.Bytes()
+	loaded, err := kpj.LoadIndex(bytes.NewReader(data), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +125,8 @@ func TestIndexSaveLoadPublicAPI(t *testing.T) {
 	}
 	// Wrong graph must be rejected.
 	other := cityGrid(t, 15, 15, 5)
-	var buf2 bytes.Buffer
-	if _, err := ix.WriteTo(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := kpj.LoadIndex(&buf2, other); err == nil {
-		t.Fatal("want error loading index against a different graph")
+	if _, err := kpj.LoadIndex(bytes.NewReader(data), other); !errors.Is(err, kpj.ErrIndexMismatch) {
+		t.Fatalf("loading against a different graph: err = %v, want ErrIndexMismatch", err)
 	}
 	if _, err := kpj.LoadIndex(bytes.NewReader([]byte("junk")), g); err == nil {
 		t.Fatal("want error for junk data")
